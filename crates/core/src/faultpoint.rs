@@ -25,9 +25,9 @@
 //! a low-rate mix of *transparent* disk faults (transient read/rename
 //! errors that the retry path must absorb, mmap failures that must fall
 //! back to heap buffers, flock contention delays); `worker` arms small
-//! worker-loop delays; `ring` arms submission front-end degradations
-//! (stalled ring publishes, forced ring-full fallbacks, dropped worker
-//! wakeups). All are chosen so that a correct build passes its full test
+//! worker-loop delays. An unknown category panics at the first probe, so
+//! a typo'd or stale setting cannot pass a test run vacuously. Both
+//! categories are chosen so that a correct build passes its full test
 //! suite unchanged while armed — that is the point: the suite *is* the
 //! assertion that these degradations are invisible. Destructive actions
 //! (short reads, panics) are only injected by targeted tests and the
@@ -59,19 +59,6 @@ pub mod sites {
     pub const WORKER_FUNC: &str = "service.func";
     /// The sharded merge step on the last participant.
     pub const WORKER_MERGE: &str = "service.merge";
-    /// Publish window of a submission-ring slot: between the CAS that
-    /// claims the slot and the sequence store that publishes it. A delay
-    /// here widens the claimed-but-unpublished window consumers must
-    /// tolerate (they observe `Pending`, not `Empty`).
-    pub const RING_PUBLISH: &str = "ring.publish";
-    /// Capacity check of the submission ring. A firing rule forces the
-    /// push down the mutex-guarded overflow path even when the ring has
-    /// room.
-    pub const RING_FULL: &str = "ring.full";
-    /// Worker wakeup after a ring push. A firing rule drops the wakeup;
-    /// the bounded park timeout must recover (latency only, never a lost
-    /// ticket).
-    pub const RING_WAKEUP: &str = "ring.wakeup";
 }
 
 /// What an armed faultpoint injects when it fires.
@@ -320,21 +307,9 @@ fn env_rules(spec: &str) -> Vec<FaultRule> {
                 .every(31)
                 .offset(7),
             ]),
-            "ring" => rules.extend([
-                FaultRule::new(
-                    sites::RING_PUBLISH,
-                    FaultAction::Delay(Duration::from_micros(200)),
-                )
-                .every(17)
-                .offset(3),
-                FaultRule::new(sites::RING_FULL, FaultAction::Fail)
-                    .every(11)
-                    .offset(2),
-                FaultRule::new(sites::RING_WAKEUP, FaultAction::Fail)
-                    .every(13)
-                    .offset(1),
-            ]),
-            other => eprintln!("tpde: unknown TPDE_FAULTS category {other:?} ignored"),
+            other => {
+                panic!("unknown TPDE_FAULTS category {other:?}; known categories: disk, worker")
+            }
         }
     }
     rules
@@ -477,14 +452,18 @@ mod tests {
         assert!(env_rules("worker")
             .iter()
             .all(|r| r.site.starts_with("service.")));
-        assert!(env_rules("ring")
-            .iter()
-            .all(|r| r.site.starts_with("ring.")));
-        let all = env_rules("disk, worker, ring");
+        let all = env_rules("disk, worker");
         assert_eq!(
             all.len(),
-            env_rules("disk").len() + env_rules("worker").len() + env_rules("ring").len()
+            env_rules("disk").len() + env_rules("worker").len()
         );
-        assert!(env_rules("bogus").is_empty());
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "unknown TPDE_FAULTS category \"ring\"; known categories: disk, worker"
+    )]
+    fn unknown_env_category_panics_listing_the_known_ones() {
+        env_rules("disk,ring");
     }
 }

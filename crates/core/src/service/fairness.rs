@@ -117,8 +117,7 @@ impl<T> Lane<T> {
 
 /// The worker-side backlog: two priority lanes of weighted deficit
 /// round-robin client FIFOs. Not thread-safe by itself — the service
-/// guards it with a mutex contended only worker-vs-worker (submission
-/// goes through the lock-free ring).
+/// guards it with the dispatcher's mutex.
 pub(crate) struct DrrQueue<T> {
     interactive: Lane<T>,
     bulk: Lane<T>,

@@ -1,36 +1,23 @@
-//! The service front-end: the redesigned submission API ([`Request`],
-//! [`Ticket`], [`TicketRef`]) and the async ingress machinery (lock-free
-//! ring → fairness scheduler → parker wakeups) behind it.
+//! The service front-end: the submission API ([`Request`], [`super::Ticket`],
+//! [`TicketRef`]) and the ingress machinery (fairness scheduler and
+//! worker wakeups) behind it.
 //!
 //! # Submission path
 //!
 //! ```text
-//!  submitter ──Request──▶ admission ──▶ [ lock-free ring ]──┐ push
-//!     │                   (shed/verify/                     │
-//!     │                    cache/coalesce)                  ▼
-//!     ▼                                        worker: drain ring into
-//!  Ticket ◀────────── response ◀── workers ◀── DRR scheduler, pop by
-//!                                              lane + client fairness
+//!  submitter ──Request──▶ admission ──▶ Mutex<DrrQueue> ──▶ Condvar ──┐
+//!     │                   (shed/verify/   push by lane +    notify_one │
+//!     │                    cache/coalesce) client           or _all    ▼
+//!     ▼                                                         workers pop
+//!  Ticket ◀─────────────────── response ◀───────────────────── and compile
 //! ```
 //!
-//! Submitting threads never take the scheduler mutex: they CAS into the
-//! [`super::ring::Ring`] and poke at most one worker's [`Parker`]. The
-//! scheduler mutex is contended only worker-vs-worker, and only a full
-//! ring (or an injected `ring.full` fault) falls back to pushing under it
-//! directly — admission therefore stays effectively unbounded, exactly as
-//! before, with the ring as a fast path rather than a correctness bound.
-//!
-//! # Wakeups
-//!
-//! One [`Parker`] per worker — a three-state atomic (`EMPTY`, `NOTIFIED`,
-//! `PARKED`). A submitter wakes exactly as many workers as the job needs
-//! (one for a batched module, all for a sharded one) instead of a global
-//! `Condvar::notify_all` thundering herd. Parking always uses a bounded
-//! `park_timeout`, so a *lost* wakeup (dropped by fault injection at the
-//! `ring.wakeup` site, or by a genuine bug) costs bounded latency, never a
-//! stranded ticket. The legacy Condvar mode is kept behind
-//! [`WakeupMode::Condvar`] purely so `figures --sustained` can measure
-//! ring vs. condvar on identical scheduler semantics.
+//! There is one ingress: every push — a new submission or a preempted
+//! shard's requeue — goes under the scheduler mutex into the weighted
+//! deficit-round-robin `DrrQueue`, and wakes as many workers as it
+//! pushed copies: `notify_one` for a batched job, `notify_all` for a
+//! sharded one. Workers block on the condvar while the queue is empty and
+//! the dispatcher is open, so a pushed item is never left unannounced.
 //!
 //! # Ticket completion-state machine
 //!
@@ -55,16 +42,14 @@
 //! spent (a later `wait` reports the service-shutdown error). Dropping a
 //! ticket abandons the response; the service never blocks on it.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 use super::fairness::{ClientId, DrrQueue};
-use super::ring::{Pop, Ring};
 use super::{lock, Priority, ServiceBackend, ServiceResponse};
 use crate::error::Error;
-use crate::faultpoint::{self, sites};
 use crate::timing::RequestTiming;
 
 /// A compile request under construction: the backend payload plus the
@@ -105,8 +90,13 @@ impl<B: ServiceBackend> Request<B> {
         self
     }
 
-    /// Sets the time budget, measured from submission (see
-    /// [`super::SubmitOptions::deadline`] for the exact semantics).
+    /// Sets the time budget, measured from submission. An expired request
+    /// is answered with [`Error::DeadlineExceeded`] at dequeue (before the
+    /// compile starts) or at the next shard function boundary; a compile
+    /// already running on one worker is not interrupted. When an identical
+    /// in-flight request coalesces with this one, the *loosest* deadline
+    /// of the group wins — attaching a waiter never tightens the leader's
+    /// budget.
     pub fn deadline(mut self, deadline: Duration) -> Request<B> {
         self.deadline = Some(deadline);
         self
@@ -167,101 +157,6 @@ pub(crate) fn shutdown_response() -> ServiceResponse {
     }
 }
 
-/// How the front-end hands submissions to the worker pool.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum WakeupMode {
-    /// Lock-free ring ingress with per-worker parker wakeups (the
-    /// default).
-    #[default]
-    Ring,
-    /// Legacy mutex + condvar ingress. Same scheduler, same fairness —
-    /// kept as the measured baseline of `figures --sustained`.
-    Condvar,
-}
-
-/// Parker states. `NOTIFIED` is a sticky token: an unpark delivered to a
-/// running worker is consumed at its next park attempt.
-const EMPTY: u8 = 0;
-const NOTIFIED: u8 = 1;
-const PARKED: u8 = 2;
-
-/// Bounded sleep per park. This is the recovery bound for a lost wakeup:
-/// a worker never sleeps longer than this without re-checking the ring,
-/// so a dropped notification costs at most one timeout of latency.
-pub(crate) const PARK_TIMEOUT: Duration = Duration::from_millis(2);
-
-/// One worker's wakeup state machine (see the module docs).
-pub(crate) struct Parker {
-    state: AtomicU8,
-    /// The worker thread currently owning this parker; re-registered by
-    /// watchdog replacements. Locked only on registration and on the
-    /// unpark slow path (target actually parked).
-    thread: Mutex<Option<std::thread::Thread>>,
-}
-
-impl Parker {
-    pub(crate) fn new() -> Parker {
-        Parker {
-            state: AtomicU8::new(EMPTY),
-            thread: Mutex::new(None),
-        }
-    }
-
-    /// Binds the calling thread to this parker (worker start/respawn).
-    pub(crate) fn register(&self) {
-        *lock(&self.thread) = Some(std::thread::current());
-    }
-
-    /// Sleeps until notified or `timeout` elapses. A notification
-    /// delivered since the last park is consumed without sleeping.
-    #[cfg(test)]
-    pub(crate) fn park(&self, timeout: Duration) {
-        self.park_unless(timeout, || false);
-    }
-
-    /// Like [`Parker::park`], but re-evaluates `work_pending` *after*
-    /// publishing the `PARKED` state and returns without sleeping if it
-    /// reports work. A producer publishes its item before waking, so
-    /// either this check observes the item or the producer's wake scan
-    /// observes `PARKED` — the lost-wakeup window is closed and the park
-    /// timeout is a backstop, not a latency floor.
-    pub(crate) fn park_unless(&self, timeout: Duration, work_pending: impl Fn() -> bool) {
-        if self.state.swap(EMPTY, Ordering::Acquire) == NOTIFIED {
-            return;
-        }
-        if self
-            .state
-            .compare_exchange(EMPTY, PARKED, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            // NOTIFIED landed between the two operations.
-            self.state.swap(EMPTY, Ordering::Acquire);
-            return;
-        }
-        if work_pending() {
-            self.state.swap(EMPTY, Ordering::Acquire);
-            return;
-        }
-        std::thread::park_timeout(timeout);
-        self.state.swap(EMPTY, Ordering::Acquire);
-    }
-
-    /// Delivers a notification; wakes the thread if it is parked. A
-    /// spurious stale `std::thread` token can make one later park return
-    /// early — harmless, the worker loop re-checks its queues.
-    pub(crate) fn unpark(&self) {
-        if self.state.swap(NOTIFIED, Ordering::AcqRel) == PARKED {
-            if let Some(t) = lock(&self.thread).as_ref() {
-                t.unpark();
-            }
-        }
-    }
-
-    fn is_parked(&self) -> bool {
-        self.state.load(Ordering::Relaxed) == PARKED
-    }
-}
-
 /// One enqueued unit: the item plus the scheduling attributes the DRR
 /// scheduler needs.
 pub(crate) struct Submission<T> {
@@ -271,33 +166,20 @@ pub(crate) struct Submission<T> {
     pub weight: u32,
 }
 
-/// The ingress pipeline between submitters and workers: ring (or legacy
-/// condvar) in front, DRR fairness scheduler behind, parkers on the side.
+/// The ingress between submitters and workers: the DRR fairness
+/// scheduler under one mutex, and a condvar the idle workers wait on.
 pub(crate) struct Dispatcher<T> {
-    mode: WakeupMode,
-    ring: Ring<Submission<T>>,
-    /// Worker-side backlog. Submitters touch this mutex only on the
-    /// ring-full fallback (and in Condvar mode).
     sched: Mutex<DrrQueue<T>>,
     cv: Condvar,
-    parkers: Box<[Parker]>,
-    /// Rotation cursor for picking which parker to wake.
-    next_wake: AtomicUsize,
     closed: AtomicBool,
-    ring_fallbacks: AtomicU64,
 }
 
-impl<T> Dispatcher<T> {
-    pub(crate) fn new(mode: WakeupMode, workers: usize, ring_capacity: usize) -> Dispatcher<T> {
+impl<T: Clone> Dispatcher<T> {
+    pub(crate) fn new() -> Dispatcher<T> {
         Dispatcher {
-            mode,
-            ring: Ring::new(ring_capacity),
             sched: Mutex::new(DrrQueue::new()),
             cv: Condvar::new(),
-            parkers: (0..workers).map(|_| Parker::new()).collect(),
-            next_wake: AtomicUsize::new(0),
             closed: AtomicBool::new(false),
-            ring_fallbacks: AtomicU64::new(0),
         }
     }
 
@@ -305,183 +187,57 @@ impl<T> Dispatcher<T> {
         self.closed.load(Ordering::Acquire)
     }
 
-    pub(crate) fn ring_fallbacks(&self) -> u64 {
-        self.ring_fallbacks.load(Ordering::Relaxed)
-    }
-
-    /// Binds the calling worker thread to its parker.
-    pub(crate) fn register(&self, worker: usize) {
-        self.parkers[worker].register();
-    }
-
-    /// Hands one submission to the pool (lock-free in Ring mode unless
-    /// the ring is full or an injected `ring.full` fault forces the
-    /// fallback). Call [`Dispatcher::wake`] afterwards.
-    pub(crate) fn enqueue(&self, sub: Submission<T>) {
-        match self.mode {
-            WakeupMode::Condvar => {
-                let mut sched = lock(&self.sched);
-                sched.push(sub.class, sub.client, sub.weight, sub.item);
-            }
-            WakeupMode::Ring => {
-                let forced_full = faultpoint::trip(sites::RING_FULL, 0).is_some();
-                let overflow = if forced_full {
-                    Some(sub)
-                } else {
-                    self.ring.push(sub).err()
-                };
-                if let Some(sub) = overflow {
-                    // Capacity (or an injected fault) is a latency event,
-                    // never an admission event: spill under the scheduler
-                    // mutex like the legacy path.
-                    self.ring_fallbacks.fetch_add(1, Ordering::Relaxed);
-                    let mut sched = lock(&self.sched);
-                    sched.push(sub.class, sub.client, sub.weight, sub.item);
-                }
+    /// Pushes `copies` copies of `sub` (1 for a batched job, one per
+    /// worker for a sharded one — from submit or from a preempted shard's
+    /// requeue) and wakes as many workers: `notify_one` for one copy,
+    /// `notify_all` for more.
+    pub(crate) fn push(&self, sub: Submission<T>, copies: usize) {
+        {
+            let mut sched = lock(&self.sched);
+            for _ in 0..copies {
+                sched.push(sub.class, sub.client, sub.weight, sub.item.clone());
             }
         }
-    }
-
-    /// Requeue from a worker thread (paused shard jobs). Workers are on
-    /// the consumer side already, so this pushes straight into the
-    /// scheduler in both modes.
-    pub(crate) fn requeue(&self, sub: Submission<T>) {
-        let mut sched = lock(&self.sched);
-        sched.push(sub.class, sub.client, sub.weight, sub.item);
-    }
-
-    /// Wakes up to `n` workers (1 for a batched job, the pool for a
-    /// sharded one). Parked workers are preferred; if fewer than `n` are
-    /// parked, the notification token is left on running workers, which
-    /// consume it at their next park attempt. An injected `ring.wakeup`
-    /// fault drops the whole wakeup — the bounded park timeout recovers.
-    pub(crate) fn wake(&self, n: usize) {
-        match self.mode {
-            WakeupMode::Condvar => {
-                if n <= 1 {
-                    self.cv.notify_one();
-                } else {
-                    self.cv.notify_all();
-                }
-            }
-            WakeupMode::Ring => {
-                if faultpoint::trip(sites::RING_WAKEUP, n as u64).is_some() {
-                    return;
-                }
-                let w = self.parkers.len();
-                let n = n.min(w);
-                let start = self.next_wake.fetch_add(1, Ordering::Relaxed);
-                let mut woken = 0;
-                for i in 0..w {
-                    if woken >= n {
-                        return;
-                    }
-                    let p = &self.parkers[(start + i) % w];
-                    if p.is_parked() {
-                        p.unpark();
-                        woken += 1;
-                    }
-                }
-                // Not enough parked workers: stamp tokens on the next few
-                // in rotation so imminent parks return immediately.
-                for i in 0..(n - woken) {
-                    self.parkers[(start + i) % w].unpark();
-                }
-            }
+        if copies <= 1 {
+            self.cv.notify_one();
+        } else {
+            self.cv.notify_all();
         }
     }
 
     /// Closes the front-end (shutdown): no effect on already-enqueued
-    /// work, but workers exit once ring and scheduler are drained.
+    /// work, but workers exit once the scheduler is drained.
     pub(crate) fn close(&self) {
-        self.closed.store(true, Ordering::Release);
-        match self.mode {
-            WakeupMode::Condvar => self.cv.notify_all(),
-            WakeupMode::Ring => {
-                // Shutdown wakeups bypass fault injection: a dropped one
-                // would only add a park-timeout of drain latency, but
-                // there is no reason to inject here.
-                for p in self.parkers.iter() {
-                    p.unpark();
-                }
-            }
+        // Set the flag under the scheduler mutex so a worker between its
+        // closed check and its condvar wait cannot miss the notification.
+        {
+            let _sched = lock(&self.sched);
+            self.closed.store(true, Ordering::Release);
         }
+        self.cv.notify_all();
     }
 
     /// Blocks until a job is available, returning `None` only when the
-    /// dispatcher is closed *and* fully drained — including ring slots
-    /// still inside their publish window, which read as [`Pop::Pending`]
-    /// and are waited out, never dropped.
-    pub(crate) fn next(&self, worker: usize) -> Option<T> {
-        match self.mode {
-            WakeupMode::Condvar => {
-                let mut sched = lock(&self.sched);
-                loop {
-                    if let Some(item) = sched.pop() {
-                        return Some(item);
-                    }
-                    if self.is_closed() {
-                        return None;
-                    }
-                    sched = self.cv.wait(sched).unwrap_or_else(|e| e.into_inner());
-                }
+    /// dispatcher is closed *and* the scheduler is empty.
+    pub(crate) fn next(&self) -> Option<T> {
+        let mut sched = lock(&self.sched);
+        loop {
+            if let Some(item) = sched.pop() {
+                return Some(item);
             }
-            WakeupMode::Ring => loop {
-                {
-                    let mut sched = lock(&self.sched);
-                    while let Pop::Item(s) = self.ring.pop() {
-                        sched.push(s.class, s.client, s.weight, s.item);
-                    }
-                    if let Some(item) = sched.pop() {
-                        return Some(item);
-                    }
-                }
-                if self.is_closed() {
-                    match self.ring.pop() {
-                        Pop::Item(s) => {
-                            lock(&self.sched).push(s.class, s.client, s.weight, s.item);
-                        }
-                        Pop::Pending => std::hint::spin_loop(),
-                        Pop::Empty => {
-                            // One last scheduler check (a peer may have
-                            // requeued a paused shard) before exiting.
-                            if let Some(item) = lock(&self.sched).pop() {
-                                return Some(item);
-                            }
-                            if self.ring.is_empty() {
-                                return None;
-                            }
-                        }
-                    }
-                    continue;
-                }
-                // A submission published after the drain above may have
-                // stamped its wakeup token on a busy peer; the post-PARKED
-                // recheck inside `park_unless` closes that window, so the
-                // timeout is only a backstop for injected wakeup faults.
-                self.parkers[worker].park_unless(PARK_TIMEOUT, || !self.ring.is_empty());
-            },
+            if self.is_closed() {
+                return None;
+            }
+            sched = self.cv.wait(sched).unwrap_or_else(|e| e.into_inner());
         }
     }
 
-    /// Strict post-join drain for `Drop`: empties the ring (waiting out
-    /// any publish still in flight) and the scheduler, returning the
+    /// Post-join drain for `Drop`: empties the scheduler, returning the
     /// leftovers so the service can answer their tickets. Only sound once
     /// the workers have exited — they would otherwise race for the items.
     pub(crate) fn drain_remaining(&self) -> Vec<T> {
-        let mut out = Vec::new();
-        loop {
-            match self.ring.pop() {
-                Pop::Item(s) => out.push(s.item),
-                Pop::Pending => std::hint::spin_loop(),
-                Pop::Empty => break,
-            }
-        }
         let mut sched = lock(&self.sched);
-        while let Some(item) = sched.pop() {
-            out.push(item);
-        }
-        out
+        std::iter::from_fn(|| sched.pop()).collect()
     }
 }
 
@@ -489,108 +245,74 @@ impl<T> Dispatcher<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use std::time::Instant;
 
-    #[test]
-    fn unpark_before_park_returns_immediately() {
-        let p = Parker::new();
-        p.register();
-        p.unpark();
-        let t = Instant::now();
-        p.park(Duration::from_secs(5));
-        assert!(t.elapsed() < Duration::from_secs(1));
-    }
-
-    #[test]
-    fn park_times_out_without_a_notification() {
-        let p = Parker::new();
-        p.register();
-        let t = Instant::now();
-        p.park(Duration::from_millis(10));
-        assert!(t.elapsed() >= Duration::from_millis(10));
-    }
-
-    #[test]
-    fn unpark_wakes_a_parked_thread() {
-        let p = Arc::new(Parker::new());
-        let h = {
-            let p = Arc::clone(&p);
-            std::thread::spawn(move || {
-                p.register();
-                let t = Instant::now();
-                p.park(Duration::from_secs(30));
-                t.elapsed()
-            })
-        };
-        // Give the worker time to actually park, then wake it.
-        while !p.is_parked() {
-            std::thread::yield_now();
-        }
-        p.unpark();
-        let slept = h.join().unwrap();
-        assert!(slept < Duration::from_secs(5), "parked thread never woke");
-    }
-
-    #[test]
-    fn dispatcher_round_trips_submissions_through_the_ring() {
-        let d: Dispatcher<u32> = Dispatcher::new(WakeupMode::Ring, 1, 8);
-        d.register(0);
-        for v in 0..5 {
-            d.enqueue(Submission {
-                item: v,
-                class: Priority::Interactive,
-                client: ClientId(1),
-                weight: 1,
-            });
-        }
-        d.wake(1);
-        let got: Vec<u32> = (0..5).map(|_| d.next(0).unwrap()).collect();
-        if crate::faultpoint::armed() {
-            // Env-armed `ring` faults may spill pushes to the scheduler
-            // queue, reordering across lanes — delivery stays exactly-once.
-            let mut sorted = got.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, (0..5).collect::<Vec<_>>());
-        } else {
-            assert_eq!(got, (0..5).collect::<Vec<_>>(), "same-client FIFO");
-        }
-        d.close();
-        assert_eq!(d.next(0), None);
-    }
-
-    #[test]
-    fn dispatcher_overflow_spills_to_the_scheduler_not_the_floor() {
-        // Ring capacity 2 (min power of two), 10 submissions: the spill
-        // path must preserve every item.
-        let d: Dispatcher<u32> = Dispatcher::new(WakeupMode::Ring, 1, 2);
-        d.register(0);
-        for v in 0..10 {
-            d.enqueue(Submission {
-                item: v,
-                class: Priority::Bulk,
-                client: ClientId(1),
-                weight: 1,
-            });
-        }
-        assert!(d.ring_fallbacks() > 0);
-        let mut got: Vec<u32> = (0..10).map(|_| d.next(0).unwrap()).collect();
-        got.sort_unstable();
-        assert_eq!(got, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn condvar_mode_delivers_and_closes() {
-        let d: Dispatcher<u32> = Dispatcher::new(WakeupMode::Condvar, 2, 8);
-        d.enqueue(Submission {
-            item: 9,
-            class: Priority::Interactive,
+    fn sub(item: u32, class: Priority) -> Submission<u32> {
+        Submission {
+            item,
+            class,
             client: ClientId(1),
             weight: 1,
-        });
-        d.wake(1);
-        assert_eq!(d.next(0), Some(9));
+        }
+    }
+
+    #[test]
+    fn dispatcher_delivers_same_client_submissions_in_fifo_order() {
+        let d: Dispatcher<u32> = Dispatcher::new();
+        for v in 0..5 {
+            d.push(sub(v, Priority::Interactive), 1);
+        }
+        let got: Vec<u32> = (0..5).map(|_| d.next().unwrap()).collect();
+        assert_eq!(got, (0..5).collect::<Vec<_>>(), "same-client FIFO");
         d.close();
-        assert_eq!(d.next(0), None);
-        assert_eq!(d.next(1), None);
+        assert_eq!(d.next(), None);
+    }
+
+    #[test]
+    fn dispatcher_delivers_and_closes() {
+        let d: Dispatcher<u32> = Dispatcher::new();
+        d.push(sub(9, Priority::Interactive), 1);
+        assert_eq!(d.next(), Some(9));
+        d.close();
+        assert_eq!(d.next(), None);
+        assert_eq!(d.next(), None);
+    }
+
+    #[test]
+    fn push_wakes_one_blocked_worker_per_copy() {
+        // Two workers block in `next()` on an empty queue and take one
+        // item each. A push of one copy per worker (the shape of a
+        // preempted shard's requeue) must wake both: with a single
+        // wakeup, one copy would sit in the queue while a worker sleeps.
+        let d: Arc<Dispatcher<u32>> = Arc::new(Dispatcher::new());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                let (d, tx) = (Arc::clone(&d), tx.clone());
+                std::thread::spawn(move || tx.send(d.next()).unwrap())
+            })
+            .collect();
+        // Let both workers reach the condvar wait before pushing.
+        std::thread::sleep(Duration::from_millis(50));
+        d.push(sub(7, Priority::Bulk), 2);
+        for _ in 0..2 {
+            let got = rx.recv_timeout(Duration::from_secs(10));
+            assert_eq!(got, Ok(Some(7)), "a pushed copy stranded in the queue");
+        }
+        d.close();
+        for w in workers {
+            w.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn drain_remaining_returns_unconsumed_items() {
+        let d: Dispatcher<u32> = Dispatcher::new();
+        d.push(sub(1, Priority::Bulk), 1);
+        d.push(sub(2, Priority::Interactive), 2);
+        d.close();
+        let mut left = d.drain_remaining();
+        left.sort_unstable();
+        assert_eq!(left, vec![1, 2, 2]);
+        assert_eq!(d.next(), None);
     }
 }

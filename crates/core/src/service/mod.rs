@@ -43,27 +43,24 @@
 //!
 //! # Async front-end
 //!
-//! Submission is asynchronous and lock-free on the hot path: a request is
-//! admitted (cache lookup, verification, coalescing, shedding), pushed
-//! into a bounded lock-free [`ring::Ring`], and exactly as many workers
-//! as the job needs are woken through per-worker [`front::Parker`] state
-//! machines — no mutex, no condvar, no thundering herd. Workers drain the
-//! ring into a weighted deficit-round-robin scheduler
-//! ([`fairness::DrrQueue`]) whose mutex is contended only
-//! worker-vs-worker. Requests carry a [`ClientId`]; within a priority
-//! lane the scheduler round-robins across clients (weighted), and when a
-//! queue capacity is configured a client's backlog share is bounded by
+//! Submission is asynchronous: a request is admitted (cache lookup,
+//! verification, coalescing, shedding) on the submitting thread, pushed
+//! under one mutex into a weighted deficit-round-robin scheduler
+//! ([`fairness::DrrQueue`]), and workers blocked on the matching condvar
+//! are woken — one for a batched job, all for a sharded one. Requests
+//! carry a [`ClientId`]; within a priority lane the scheduler
+//! round-robins across clients (weighted), and when a queue capacity is
+//! configured a client's backlog share is bounded by
 //! `capacity / active_clients`, so one greedy client is shed while others
-//! still admit. See [`front`] for the full picture (and the ticket
-//! completion-state machine) and [`ring`] for the ingress queue.
+//! still admit. See [`front`] for the full picture and the ticket
+//! completion-state machine.
 //!
 //! A running *bulk* sharded compile is additionally **preemptible**: an
 //! interactive arrival sets the job's `preempt` flag, participants pause
 //! at the next function boundary (the existing deadline-probe point),
 //! bank their partial shards and requeue the job, freeing the pool for
 //! the interactive request; the job later resumes where it left off and
-//! merges byte-identically. [`WakeupMode::Condvar`] keeps the legacy
-//! mutex+condvar ingress selectable as the measured baseline.
+//! merges byte-identically.
 //!
 //! # Resilience front-end
 //!
@@ -107,10 +104,9 @@
 
 pub mod fairness;
 pub mod front;
-pub mod ring;
 
 pub use fairness::ClientId;
-pub use front::{Request, TicketRef, WakeupMode};
+pub use front::{Request, TicketRef};
 
 use crate::codebuf::CodeBuffer;
 use crate::codegen::{CompileSession, CompileStats, CompiledModule};
@@ -203,15 +199,6 @@ pub struct ServiceConfig {
     /// compile longer than the timeout is indistinguishable from a hang —
     /// pick a bound well above the largest expected module.
     pub hang_timeout: Option<Duration>,
-    /// How submissions reach the worker pool: the lock-free ring with
-    /// parker wakeups ([`WakeupMode::Ring`], the default) or the legacy
-    /// mutex+condvar path kept as a measured baseline.
-    pub wakeup: WakeupMode,
-    /// Slot count of the submission ring (rounded up to a power of two);
-    /// 0 (the default) picks 1024. A full ring is a latency event, not an
-    /// admission event — the push spills to the scheduler mutex, counted
-    /// in [`ServiceStats::ring_fallbacks`].
-    pub ring_capacity: usize,
 }
 
 impl ServiceConfig {
@@ -235,13 +222,11 @@ impl Default for ServiceConfig {
             queue_capacity: 0,
             bulk_queue_capacity: 0,
             hang_timeout: None,
-            wakeup: WakeupMode::default(),
-            ring_capacity: 0,
         }
     }
 }
 
-/// Scheduling class of a request (see [`SubmitOptions`]).
+/// Scheduling class of a request (see [`Request::priority`]).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Priority {
     /// Latency-sensitive JIT traffic: dequeued before any bulk work.
@@ -251,45 +236,6 @@ pub enum Priority {
     /// dequeued only when no interactive work is waiting and shed first
     /// under load.
     Bulk,
-}
-
-/// Per-request submission options of the deprecated
-/// [`CompileService::submit_with`]/[`CompileService::compile_with`] shims.
-/// New code builds a [`Request`] instead, which carries the same
-/// attributes plus the fairness ones ([`ClientId`], weight).
-#[derive(Clone, Debug, Default)]
-pub struct SubmitOptions {
-    /// Scheduling class; [`Priority::Interactive`] by default.
-    pub priority: Priority,
-    /// Time budget measured from submission. An expired request is
-    /// answered with [`Error::DeadlineExceeded`] at dequeue (before the
-    /// compile starts) or at the next shard function boundary; a compile
-    /// already running on one worker is not interrupted. When an identical
-    /// in-flight request coalesces with this one, the *loosest* deadline
-    /// of the group wins — attaching a waiter never tightens the leader's
-    /// budget.
-    pub deadline: Option<Duration>,
-}
-
-impl SubmitOptions {
-    /// Interactive priority, no deadline (the default).
-    pub fn interactive() -> SubmitOptions {
-        SubmitOptions::default()
-    }
-
-    /// Bulk priority, no deadline.
-    pub fn bulk() -> SubmitOptions {
-        SubmitOptions {
-            priority: Priority::Bulk,
-            ..SubmitOptions::default()
-        }
-    }
-
-    /// Sets the deadline, measured from submission.
-    pub fn with_deadline(mut self, deadline: Duration) -> SubmitOptions {
-        self.deadline = Some(deadline);
-        self
-    }
 }
 
 /// The IR- and target-specific half of a [`CompileService`].
@@ -408,12 +354,6 @@ impl Ticket {
     /// [`TicketRef::wait_timeout`].
     pub fn by_ref(&self) -> TicketRef<'_> {
         TicketRef { rx: &self.rx }
-    }
-
-    /// Blocks until the response is ready or `timeout` elapses.
-    #[deprecated(note = "use `ticket.by_ref().wait_timeout(..)`")]
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<ServiceResponse> {
-        self.by_ref().wait_timeout(timeout)
     }
 }
 
@@ -708,8 +648,8 @@ impl<B: ServiceBackend> WorkerSlot<B> {
 struct Shared<B: ServiceBackend> {
     backend: B,
     cfg: ServiceConfig,
-    /// The async front-end: lock-free ring ingress, DRR fairness
-    /// scheduler, parker wakeups (or the legacy condvar, by config).
+    /// The async front-end: DRR fairness scheduler under one mutex, with
+    /// condvar wakeups.
     dispatch: Dispatcher<Job<B>>,
     /// Queued-or-compiling cacheable jobs by request key — the coalescing
     /// rendezvous. Attach (submit) and remove (completion) both run under
@@ -895,16 +835,11 @@ impl<B: ServiceBackend> CompileService<B> {
                 }
             });
         let hang_timeout = cfg.hang_timeout;
-        let ring_capacity = if cfg.ring_capacity == 0 {
-            1024
-        } else {
-            cfg.ring_capacity
-        };
         let shared = Arc::new(Shared {
             cache: Mutex::new(ModuleCache::new(cfg.cache_capacity)),
             disk,
             backend,
-            dispatch: Dispatcher::new(cfg.wakeup, workers, ring_capacity),
+            dispatch: Dispatcher::new(),
             cfg,
             inflight: Mutex::new(HashMap::new()),
             client_backlog: ClientTable::new(),
@@ -937,8 +872,8 @@ impl<B: ServiceBackend> CompileService<B> {
     /// [`Request::new`] defaults to [`Priority::Interactive`], no deadline
     /// and the anonymous client; use the builder methods to override. Cache
     /// hits are answered before this returns (the ticket resolves without
-    /// blocking); misses go through fair-share admission and the lock-free
-    /// submission ring to the worker pool.
+    /// blocking); misses go through fair-share admission and the
+    /// scheduler queue to the worker pool.
     pub fn submit(&self, req: Request<B>) -> Ticket {
         let Request {
             payload: req,
@@ -1217,10 +1152,7 @@ impl<B: ServiceBackend> CompileService<B> {
         // One copy per worker for shards; every worker that pops one joins
         // the shared function-index queue.
         let copies = if shard { shared.cfg.workers } else { 1 };
-        for _ in 0..copies {
-            shared.dispatch.enqueue(job.submission());
-        }
-        shared.dispatch.wake(copies);
+        shared.dispatch.push(job.submission(), copies);
 
         // Cooperative preemption: an interactive arrival pauses running
         // bulk shard jobs so its own compile does not sit behind them. The
@@ -1241,23 +1173,6 @@ impl<B: ServiceBackend> CompileService<B> {
     /// Submits a request and blocks until its response is ready.
     pub fn compile(&self, req: Request<B>) -> ServiceResponse {
         self.submit(req).wait()
-    }
-
-    /// Compatibility shim for the pre-[`Request`] two-method API.
-    #[deprecated(note = "build a `Request` and call `submit` instead")]
-    pub fn submit_with(&self, req: B::Request, opts: SubmitOptions) -> Ticket {
-        let mut r = Request::new(req).priority(opts.priority);
-        if let Some(d) = opts.deadline {
-            r = r.deadline(d);
-        }
-        self.submit(r)
-    }
-
-    /// Compatibility shim for the pre-[`Request`] two-method API.
-    #[deprecated(note = "build a `Request` and call `compile` instead")]
-    pub fn compile_with(&self, req: B::Request, opts: SubmitOptions) -> ServiceResponse {
-        #[allow(deprecated)]
-        self.submit_with(req, opts).wait()
     }
 
     /// Snapshot of the request-level statistics.
@@ -1319,7 +1234,7 @@ impl<B: ServiceBackend> CompileService<B> {
             watchdog_timeouts: c.watchdog_timeouts.load(Ordering::Relaxed),
             workers_respawned: c.workers_respawned.load(Ordering::Relaxed),
             preemptions: c.preemptions.load(Ordering::Relaxed),
-            ring_fallbacks: self.shared.dispatch.ring_fallbacks(),
+            ring_fallbacks: 0,
             clients,
             disk_retries: self
                 .shared
@@ -1341,12 +1256,9 @@ impl<B: ServiceBackend> Drop for CompileService<B> {
     /// Drains the queue: already-submitted requests (queued or in flight)
     /// are compiled and answered before the worker threads exit.
     ///
-    /// Shutdown routes through the ring's close protocol: workers keep
-    /// consuming until the ring *and* the fairness scheduler are empty,
-    /// spinning out claimed-but-unpublished slots (they read as
-    /// [`ring::Pop::Pending`], never as empty), so a submission racing
-    /// with drop is either answered by a worker or swept below — never
-    /// silently lost.
+    /// Workers keep consuming until the fairness scheduler is empty after
+    /// the close, so a submission racing with drop is either answered by
+    /// a worker or swept below — never silently lost.
     fn drop(&mut self) {
         self.shared.dispatch.close();
         self.shared.shutdown.store(true, Ordering::Relaxed);
@@ -1366,9 +1278,8 @@ impl<B: ServiceBackend> Drop for CompileService<B> {
             }
         }
         // Backstop sweep: with every worker joined, anything still in the
-        // front-end (e.g. a publish delayed past the last worker's exit by
-        // fault injection) is answered with the shutdown error rather than
-        // left to hang its ticket.
+        // scheduler is answered with the shutdown error rather than left
+        // to hang its ticket.
         for job in self.shared.dispatch.drain_remaining() {
             let (key, tx, submitted, client) = match &job {
                 Job::Single(j) => match lock(&j.tx).take() {
@@ -1444,9 +1355,8 @@ fn worker_main<B: ServiceBackend>(shared: &Arc<Shared<B>>, slot_idx: usize, gene
     let slot = &shared.slots[slot_idx];
     let mut session = CompileSession::new();
     let mut worker = shared.backend.new_worker();
-    shared.dispatch.register(slot_idx);
     loop {
-        let Some(job) = shared.dispatch.next(slot_idx) else {
+        let Some(job) = shared.dispatch.next() else {
             return;
         };
         // Publish the job and stamp a heartbeat before starting; the
@@ -1763,9 +1673,9 @@ fn run_shard_participant<B: ServiceBackend>(
         shared.client_backlog.incr(job.meta.client);
         job.preempt.store(false, Ordering::Relaxed);
         let requeued = Job::Shard(Arc::clone(job));
-        for _ in 0..shared.cfg.workers {
-            shared.dispatch.requeue(requeued.submission());
-        }
+        shared
+            .dispatch
+            .push(requeued.submission(), shared.cfg.workers);
         return poisoned;
     }
     // Last participant: take everything the merge needs out of the
@@ -2886,57 +2796,5 @@ mod tests {
         let c7 = stats.clients.iter().find(|c| c.client == 7).unwrap();
         assert!(c7.preemptions >= 1);
         assert_eq!(c7.completed, 1);
-    }
-
-    #[test]
-    fn condvar_wakeup_mode_serves_identically() {
-        let ring = service(2, 4, 0);
-        let cv = front_service(ServiceConfig {
-            workers: 2,
-            shard_threshold: 4,
-            cache_capacity: 0,
-            wakeup: WakeupMode::Condvar,
-            ..ServiceConfig::default()
-        });
-        for len in [1u8, 3, 20] {
-            let m = ByteModule::new((0..len).collect());
-            let a = ring.compile(Request::new(Arc::clone(&m))).module.unwrap();
-            let b = cv.compile(Request::new(Arc::clone(&m))).module.unwrap();
-            crate::codebuf::assert_identical(&a.buf, &b.buf, "condvar vs ring");
-        }
-        let stats = cv.stats();
-        assert_eq!(stats.completed, 3);
-        assert_eq!(
-            stats.ring_fallbacks, 0,
-            "condvar mode never touches the ring"
-        );
-    }
-
-    /// Pins the deprecated pre-`Request` surface: the shims must keep the
-    /// exact old semantics (priority + deadline via [`SubmitOptions`]) until
-    /// they are removed.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_option_shims_match_the_request_builder() {
-        let svc = service(1, 100, 0);
-        let m = ByteModule::new(vec![1, 2, 3]);
-        let via_request = svc
-            .compile(Request::new(Arc::clone(&m)).priority(Priority::Bulk))
-            .module
-            .unwrap();
-        let via_shim = svc.compile_with(Arc::clone(&m), SubmitOptions::bulk());
-        crate::codebuf::assert_identical(
-            &via_request.buf,
-            &via_shim.module.unwrap().buf,
-            "shim vs builder",
-        );
-        let t = svc.submit_with(Arc::clone(&m), SubmitOptions::interactive());
-        assert!(t.wait().module.is_ok());
-        // An already-expired deadline still sheds through the shim.
-        let late = svc.submit_with(
-            ByteModule::slow(vec![9], Duration::from_millis(30)).clone(),
-            SubmitOptions::bulk().with_deadline(Duration::ZERO),
-        );
-        assert!(late.wait().module.unwrap_err().is_shed());
     }
 }
