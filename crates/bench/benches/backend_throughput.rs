@@ -1,12 +1,12 @@
 //! Back-end-only compile throughput (instructions per second) on the
 //! largest SPEC-like workload, for both IR styles.
 //!
-//! This is the allocation-regression tripwire for the adapter/analysis/
-//! codegen hot path: the `figures` binary compares against the baselines,
-//! but a slowdown common to all back-ends (e.g. a reintroduced per-query
-//! allocation) only shows up in absolute throughput. Alongside the criterion
-//! timings, the bench prints insts/sec for a session-reusing compile loop so
-//! the number can be tracked across PRs.
+//! The `figures` binary compares against the baselines, but a slowdown
+//! common to all back-ends only shows up in absolute throughput. Alongside
+//! the criterion timings, the bench prints insts/sec for a session-reusing
+//! compile loop so the number can be tracked across PRs. A reintroduced
+//! per-function or per-instruction allocation is caught by the counting
+//! allocator in `crates/llvm/tests/alloc_free.rs`, not here.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Instant;

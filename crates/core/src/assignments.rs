@@ -84,6 +84,7 @@ impl PartList {
     }
 
     /// Appends a part.
+    #[inline]
     pub fn push(&mut self, p: PartState) {
         let len = self.len as usize;
         if len < PARTS_INLINE {
@@ -179,7 +180,8 @@ impl AssignmentTable {
         }
     }
 
-    /// Number of value slots.
+    /// Number of value slots (at least the value count of every function
+    /// since the table was created).
     pub fn len(&self) -> usize {
         self.slots.len()
     }
@@ -194,12 +196,19 @@ impl AssignmentTable {
         self.slots.get(v.idx()).is_some_and(|s| s.is_some())
     }
 
-    /// Inserts an assignment for a value (replacing any existing one).
-    pub fn insert(&mut self, v: ValueRef, a: Assignment) {
-        if self.slots[v.idx()].is_none() {
+    /// The value's assignment, created by `make` if it has none: one slot
+    /// lookup, and the new assignment is written straight into its slot.
+    #[inline]
+    pub fn get_or_insert_with(
+        &mut self,
+        v: ValueRef,
+        make: impl FnOnce() -> Assignment,
+    ) -> &mut Assignment {
+        let slot = &mut self.slots[v.idx()];
+        if slot.is_none() {
             self.active.push(v);
         }
-        self.slots[v.idx()] = Some(a);
+        slot.get_or_insert_with(make)
     }
 
     /// Shared access to a value's assignment.
@@ -242,11 +251,14 @@ impl AssignmentTable {
         }
     }
 
-    /// Resizes the table for a new function.
+    /// Empties the table for a new function with `value_count` values.
+    /// [`AssignmentTable::clear`] leaves every slot empty, so only slots
+    /// past the current length are written: O(assignments), not O(values).
     pub fn reset(&mut self, value_count: usize) {
         self.clear();
-        self.slots.clear();
-        self.slots.resize(value_count, None);
+        if self.slots.len() < value_count {
+            self.slots.resize(value_count, None);
+        }
     }
 }
 
@@ -339,21 +351,26 @@ mod tests {
         }
     }
 
+    fn assignment(remaining_uses: u32) -> Assignment {
+        Assignment {
+            frame_off: None,
+            remaining_uses,
+            last_pos: 5,
+            last_full: false,
+            parts: [part()].into_iter().collect(),
+        }
+    }
+
     #[test]
     fn table_insert_get_remove() {
         let mut t = AssignmentTable::new(4);
         assert!(!t.contains(ValueRef(2)));
-        t.insert(
-            ValueRef(2),
-            Assignment {
-                frame_off: None,
-                remaining_uses: 3,
-                last_pos: 5,
-                last_full: false,
-                parts: [part()].into_iter().collect(),
-            },
-        );
+        t.get_or_insert_with(ValueRef(2), || assignment(3));
         assert!(t.contains(ValueRef(2)));
+        // An existing assignment is returned as is, without calling `make`.
+        let a = t.get_or_insert_with(ValueRef(2), || unreachable!());
+        assert_eq!(a.remaining_uses, 3);
+        assert_eq!(t.active(), &[ValueRef(2)]);
         assert_eq!(t.get(ValueRef(2)).unwrap().remaining_uses, 3);
         t.get_mut(ValueRef(2)).unwrap().remaining_uses -= 1;
         assert_eq!(t.get(ValueRef(2)).unwrap().remaining_uses, 2);
@@ -398,20 +415,33 @@ mod tests {
     fn prune_active_drops_removed_values() {
         let mut t = AssignmentTable::new(4);
         for i in 0..3 {
-            t.insert(
-                ValueRef(i),
-                Assignment {
-                    frame_off: None,
-                    remaining_uses: 0,
-                    last_pos: 0,
-                    last_full: false,
-                    parts: [part()].into_iter().collect(),
-                },
-            );
+            t.get_or_insert_with(ValueRef(i), || assignment(0));
         }
         t.remove(ValueRef(1));
         t.prune_active();
         assert_eq!(t.active(), &[ValueRef(0), ValueRef(2)]);
+    }
+
+    #[test]
+    fn reset_leaves_every_slot_empty_for_smaller_and_larger_functions() {
+        let mut t = AssignmentTable::new(0);
+        t.reset(6);
+        for i in [0, 3, 5] {
+            t.get_or_insert_with(ValueRef(i), || assignment(1));
+        }
+        // A smaller function keeps the longer slot table, all of it empty.
+        t.reset(2);
+        assert!(t.len() >= 6 && t.active().is_empty());
+        assert!((0..6).all(|i| !t.contains(ValueRef(i))));
+        t.get_or_insert_with(ValueRef(1), || assignment(2));
+        // A larger function grows the table.
+        t.reset(9);
+        assert!((0..9).all(|i| !t.contains(ValueRef(i))));
+        assert_eq!(
+            t.get_or_insert_with(ValueRef(8), || assignment(4))
+                .remaining_uses,
+            4
+        );
     }
 
     #[test]

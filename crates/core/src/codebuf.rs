@@ -655,6 +655,21 @@ impl CodeBuffer {
         self.sections[0][off..off + bytes.len()].copy_from_slice(bytes);
     }
 
+    /// Moves the text bytes emitted since offset `mark` to `offset` and
+    /// truncates the text back to `mark`. Lets a target assemble a patch
+    /// with its ordinary encoders at the end of the text, with no scratch
+    /// buffer. The moved bytes must fit below `mark`.
+    pub fn move_tail_to(&mut self, mark: u64, offset: u64) {
+        let text = &mut self.sections[0];
+        let (mark, off) = (mark as usize, offset as usize);
+        assert!(
+            off + (text.len() - mark) <= mark,
+            "patch overlaps its own tail"
+        );
+        text.copy_within(mark.., off);
+        text.truncate(mark);
+    }
+
     // ---- symbols & relocations ---------------------------------------------
 
     /// Adds (or returns the existing) symbol with the given name.

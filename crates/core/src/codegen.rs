@@ -279,8 +279,8 @@ pub enum CallTarget {
 /// Per-function scratch state of the code generator, hoisted out of
 /// [`FuncCodeGen`] so one instance can be reused across all functions of a
 /// module (and across modules). Every buffer is cleared — never dropped —
-/// between functions, so the steady-state compile loop performs no heap
-/// allocation here once the buffers have grown to the largest function.
+/// between instructions and functions, so once the buffers have grown to
+/// the largest function the compile loop allocates nothing here.
 #[derive(Debug, Default)]
 struct FuncScratch {
     assignments: AssignmentTable,
@@ -315,6 +315,8 @@ struct FuncScratch {
     owned_regs: Vec<(Reg, ValueRef, u32)>,
     /// Registers cleared at block boundaries.
     cleared_regs: Vec<(Reg, RegOwner)>,
+    /// Prologue/epilogue patch areas of the current function.
+    frame_state: FrameState,
 }
 
 /// Reusable compile session: the analysis pass working memory, the analysis
@@ -322,8 +324,16 @@ struct FuncScratch {
 ///
 /// [`CodeGen::compile_module`] creates one internally; drivers that compile
 /// many modules (e.g. a JIT serving many requests) should allocate a session
-/// once and pass it to [`CodeGen::compile_module_with`] so the steady-state
-/// compile loop is allocation-free.
+/// once and pass it to [`CodeGen::compile_module_with`].
+///
+/// What is allocation-free: once a session (and the adapter's tables) have
+/// seen a function at least as large, compiling a function allocates
+/// nothing, neither per function nor per instruction. What is not: each
+/// module's output goes into a fresh [`CodeBuffer`], whose sections, symbol
+/// and relocation tables grow geometrically, plus the module's symbol list —
+/// a per-module cost that grows with the logarithm of the output size.
+/// The `alloc_free` integration test of `tpde-llvm` checks this with a
+/// counting allocator.
 #[derive(Debug, Default)]
 pub struct CompileSession {
     analyzer: Analyzer,
@@ -395,9 +405,10 @@ impl<T: Target> CodeGen<T> {
     }
 
     /// Compiles all defined functions of the adapter's module, reusing the
-    /// given session's working memory. After the first function, the
-    /// steady-state compile loop performs no per-function heap allocation
-    /// in the analysis and codegen layers.
+    /// given session's working memory. With a warm session the analysis and
+    /// codegen layers allocate nothing per function or per instruction; the
+    /// output [`CodeBuffer`]'s growth is the only allocation, a per-module
+    /// cost (see [`CompileSession`]).
     ///
     /// # Errors
     ///
@@ -575,6 +586,41 @@ impl<T: Target> CodeGen<T> {
     }
 }
 
+/// A fresh assignment for `v`: no register, no frame slot, its uses and
+/// live range from the analysis (or everything live with
+/// [`CompileOptions::assume_all_live`]).
+fn new_assignment<A: IrAdapter>(
+    adapter: &A,
+    analysis: &Analysis,
+    all_live: bool,
+    v: ValueRef,
+) -> Assignment {
+    let (last_pos, last_full, remaining_uses) = if all_live {
+        (analysis.layout.len() as u32 - 1, true, u32::MAX / 2)
+    } else {
+        let live = analysis.liveness.get(v.idx()).copied().unwrap_or_default();
+        (live.last, live.last_full, live.uses)
+    };
+    let mut parts = PartList::new();
+    for p in 0..adapter.val_part_count(v).max(1) {
+        parts.push(PartState {
+            reg: None,
+            size: adapter.val_part_size(v, p).max(1),
+            bank: adapter.val_part_bank(v, p),
+            in_mem: false,
+            fixed: false,
+            recompute: None,
+        });
+    }
+    Assignment {
+        frame_off: None,
+        remaining_uses,
+        last_pos,
+        last_full,
+        parts,
+    }
+}
+
 /// Declares one symbol per module function, in function-index order, with
 /// the binding derived from the function's linkage. Returns the symbol ids;
 /// for a fresh buffer and unique function names these are `0..func_count`.
@@ -617,7 +663,6 @@ pub struct FuncCodeGen<'a, A: IrAdapter, T: Target> {
     /// Reused per-function scratch state (see [`FuncScratch`]).
     s: &'a mut FuncScratch,
     regfile: &'a mut RegFile,
-    frame_state: FrameState,
     cur_pos: u32,
     entry_state_valid: bool,
     state_valid_next: bool,
@@ -661,7 +706,6 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
             stats,
             s,
             regfile,
-            frame_state: FrameState::default(),
             cur_pos: 0,
             entry_state_valid: true,
             state_valid_next: false,
@@ -752,7 +796,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
 
         self.target.finish_func(
             self.buf,
-            &self.frame_state,
+            &self.s.frame_state,
             self.s.frame.frame_size(),
             self.used_callee_saved,
         );
@@ -760,7 +804,8 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
     }
 
     fn emit_prologue_and_args(&mut self) -> Result<()> {
-        self.frame_state = self.target.emit_prologue(self.buf);
+        self.s.frame_state.reset();
+        self.target.emit_prologue(self.buf, &mut self.s.frame_state);
         // Tier-0 entry counter: emitted right after the prologue, where the
         // flags are dead and no argument register has been touched yet.
         if self.tier.entry_counters {
@@ -775,10 +820,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         // trivially recomputable (never spilled).
         for sv in adapter.static_stack_vars() {
             let off = self.s.frame.alloc(sv.size, sv.align);
-            self.ensure_assignment(sv.value);
-            if let Some(a) = self.s.assignments.get_mut(sv.value) {
-                a.parts[0].recompute = Some(Recompute::StackAddr(off));
-            }
+            self.assignment(sv.value).parts[0].recompute = Some(Recompute::StackAddr(off));
         }
 
         // Arguments.
@@ -798,7 +840,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         for i in 0..self.s.arg_owners.len() {
             let (v, p) = self.s.arg_owners[i];
             let loc = self.s.arg_locs[i];
-            self.ensure_assignment(v);
+            self.assignment(v);
             match loc {
                 ArgLoc::Reg(r) => {
                     if let Some(a) = self.s.assignments.get_mut(v) {
@@ -867,12 +909,10 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
                 }
                 let reg = candidates[*idx];
                 *idx += 1;
-                self.ensure_assignment(phi);
-                if let Some(a) = self.s.assignments.get_mut(phi) {
-                    a.parts[0].fixed = true;
-                    a.parts[0].reg = Some(reg);
-                    a.parts[0].in_mem = false;
-                }
+                let a = self.assignment(phi);
+                a.parts[0].fixed = true;
+                a.parts[0].reg = Some(reg);
+                a.parts[0].in_mem = false;
                 self.regfile.set_fixed(reg, phi, 0);
                 self.used_callee_saved.insert(reg);
             }
@@ -908,7 +948,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         let adapter = self.adapter;
         let block = self.analysis.layout[pos as usize];
         for &phi in adapter.block_phis(block) {
-            self.ensure_assignment(phi);
+            self.assignment(phi);
             let nparts = adapter.val_part_count(phi);
             for p in 0..nparts {
                 let fixed = self
@@ -965,48 +1005,18 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
 
     // ---- assignments -----------------------------------------------------------
 
-    fn ensure_assignment(&mut self, v: ValueRef) {
-        if self.s.assignments.contains(v) {
-            return;
-        }
-        let live = self
-            .analysis
-            .liveness
-            .get(v.idx())
-            .copied()
-            .unwrap_or_default();
-        let nparts = self.adapter.val_part_count(v).max(1);
-        let mut parts = PartList::new();
-        for p in 0..nparts {
-            parts.push(PartState {
-                reg: None,
-                size: self.adapter.val_part_size(v, p).max(1),
-                bank: self.adapter.val_part_bank(v, p),
-                in_mem: false,
-                fixed: false,
-                recompute: None,
-            });
-        }
-        let (last_pos, last_full, uses) = if self.opts.assume_all_live {
-            (self.analysis.layout.len() as u32 - 1, true, u32::MAX / 2)
-        } else {
-            (live.last, live.last_full, live.uses)
-        };
-        self.s.assignments.insert(
-            v,
-            Assignment {
-                frame_off: None,
-                remaining_uses: uses,
-                last_pos,
-                last_full,
-                parts,
-            },
-        );
+    /// The assignment of `v`, created on its first use.
+    #[inline]
+    fn assignment(&mut self, v: ValueRef) -> &mut Assignment {
+        let (adapter, analysis, all_live) =
+            (self.adapter, self.analysis, self.opts.assume_all_live);
+        self.s
+            .assignments
+            .get_or_insert_with(v, || new_assignment(adapter, analysis, all_live, v))
     }
 
     fn ensure_frame_slot(&mut self, v: ValueRef) -> i32 {
-        self.ensure_assignment(v);
-        let a = self.s.assignments.get(v).unwrap();
+        let a = self.assignment(v);
         if let Some(off) = a.frame_off {
             return off;
         }
@@ -1042,14 +1052,11 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
                 const_val: self.adapter.val_const_data(v, part),
             });
         }
-        self.ensure_assignment(v);
-        if part == 0 {
-            let a = self.s.assignments.get_mut(v).unwrap();
-            if a.remaining_uses > 0 {
-                a.remaining_uses -= 1;
-                if a.remaining_uses == 0 {
-                    self.s.maybe_dead.push(v);
-                }
+        let a = self.assignment(v);
+        if part == 0 && a.remaining_uses > 0 {
+            a.remaining_uses -= 1;
+            if a.remaining_uses == 0 {
+                self.s.maybe_dead.push(v);
             }
         }
         Ok(ValuePartRef {
@@ -1124,8 +1131,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
             self.s.inst_scratch.push(reg);
             return Ok(reg);
         }
-        self.ensure_assignment(p.val);
-        let cur = self.s.assignments.get(p.val).unwrap().parts[p.part as usize];
+        let cur = self.assignment(p.val).parts[p.part as usize];
         if let Some(reg) = cur.reg {
             if allowed.is_none_or(|set| set.contains(reg)) {
                 self.lock_for_inst(reg);
@@ -1182,8 +1188,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
 
     /// Allocates a register for one part of an instruction result.
     pub fn result_reg(&mut self, v: ValueRef, part: u32) -> Result<Reg> {
-        self.ensure_assignment(v);
-        let bank = self.adapter.val_part_bank(v, part);
+        let bank = self.assignment(v).parts[part as usize].bank;
         let reg = self.alloc_reg(bank, None)?;
         let a = self.s.assignments.get_mut(v).unwrap();
         a.parts[part as usize].reg = Some(reg);
@@ -1203,8 +1208,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
                 if let Some(a) = self.s.assignments.get_mut(op.val) {
                     a.parts[op.part as usize].reg = None;
                 }
-                self.ensure_assignment(v);
-                let a = self.s.assignments.get_mut(v).unwrap();
+                let a = self.assignment(v);
                 a.parts[part as usize].reg = Some(reg);
                 a.parts[part as usize].in_mem = false;
                 self.regfile.set_owner(reg, RegOwner::Value(v, part));
@@ -1253,11 +1257,10 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
     /// Declares that a value part now lives in `reg` (typically a scratch
     /// register the instruction's result ended up in).
     pub fn set_result_reg(&mut self, v: ValueRef, part: u32, reg: Reg) {
-        self.ensure_assignment(v);
         if let Some(idx) = self.s.inst_scratch.iter().position(|&r| r == reg) {
             self.s.inst_scratch.swap_remove(idx);
         }
-        let a = self.s.assignments.get_mut(v).unwrap();
+        let a = self.assignment(v);
         a.parts[part as usize].reg = Some(reg);
         a.parts[part as usize].in_mem = false;
         self.regfile.set_owner(reg, RegOwner::Value(v, part));
@@ -1266,22 +1269,34 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
 
     /// Marks the end of an instruction: releases operand locks and scratch
     /// registers and frees values whose last use was in this instruction.
+    ///
+    /// Touches only the registers and values this instruction listed, and
+    /// clears (never drops) the lists, so it costs O(1) per operand and
+    /// allocates nothing.
     pub fn end_inst(&mut self) {
-        for reg in std::mem::take(&mut self.s.inst_scratch) {
+        for &reg in &self.s.inst_scratch {
             if self.regfile.owner(reg) == Some(RegOwner::Scratch) {
                 self.regfile.clear(reg);
             }
         }
-        self.regfile.unlock_all();
+        self.s.inst_scratch.clear();
+        // `lock_for_inst` is the only locker, so releasing the listed
+        // registers leaves no lock behind.
+        self.regfile.release_locks(&self.s.inst_locked);
         self.s.inst_locked.clear();
-        let dead = std::mem::take(&mut self.s.maybe_dead);
-        for v in dead {
+        for i in 0..self.s.maybe_dead.len() {
+            let v = self.s.maybe_dead[i];
             if let Some(a) = self.s.assignments.get(v) {
                 if a.remaining_uses == 0 && a.last_pos == self.cur_pos && !a.last_full {
                     self.free_value(v);
                 }
             }
         }
+        self.s.maybe_dead.clear();
+        debug_assert!(
+            self.regfile.no_locks(),
+            "register still locked after end_inst"
+        );
     }
 
     fn lock_for_inst(&mut self, reg: Reg) {
@@ -1473,7 +1488,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
             if src_val == phi {
                 continue;
             }
-            self.ensure_assignment(phi);
+            self.assignment(phi);
             let nparts = adapter.val_part_count(phi);
             for p in 0..nparts {
                 let bank = adapter.val_part_bank(phi, p);
@@ -1517,8 +1532,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         if self.adapter.val_is_const(v) {
             return Ok(MoveLoc::Const(self.adapter.val_const_data(v, part)));
         }
-        self.ensure_assignment(v);
-        let a = self.s.assignments.get(v).unwrap();
+        let a = self.assignment(v);
         let ps = a.parts[part as usize];
         if let Some(r) = ps.reg {
             return Ok(MoveLoc::Reg(r));
@@ -1686,7 +1700,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         self.s.move_scratch = moves;
         result?;
         self.target
-            .emit_epilogue_and_ret(self.buf, &mut self.frame_state);
+            .emit_epilogue_and_ret(self.buf, &mut self.s.frame_state);
         self.state_valid_next = false;
         Ok(())
     }
@@ -1694,7 +1708,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
     /// Emits an epilogue and return without a return value.
     pub fn emit_return_void(&mut self) -> Result<()> {
         self.target
-            .emit_epilogue_and_ret(self.buf, &mut self.frame_state);
+            .emit_epilogue_and_ret(self.buf, &mut self.s.frame_state);
         self.state_valid_next = false;
         Ok(())
     }
@@ -1874,8 +1888,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
             }
             for (i, &(v, p)) in rets.iter().enumerate() {
                 let r = self.s.ret_regs[i];
-                self.ensure_assignment(v);
-                let a = self.s.assignments.get_mut(v).unwrap();
+                let a = self.assignment(v);
                 a.parts[p as usize].reg = Some(r);
                 a.parts[p as usize].in_mem = false;
                 self.regfile.set_owner(r, RegOwner::Value(v, p));
@@ -1893,8 +1906,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
                 .emit_const(self.buf, p.bank, p.size, dst, p.const_val);
             return Ok(());
         }
-        self.ensure_assignment(p.val);
-        let a = self.s.assignments.get(p.val).unwrap();
+        let a = self.assignment(p.val);
         let ps = a.parts[p.part as usize];
         if let Some(r) = ps.reg {
             if r != dst {
@@ -1961,8 +1973,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
     /// spilling it.
     pub fn take_reg_for_result(&mut self, v: ValueRef, part: u32, reg: Reg) {
         self.forget_reg(reg);
-        self.ensure_assignment(v);
-        let a = self.s.assignments.get_mut(v).unwrap();
+        let a = self.assignment(v);
         a.parts[part as usize].reg = Some(reg);
         a.parts[part as usize].in_mem = false;
         self.regfile.set_owner(reg, RegOwner::Value(v, part));
@@ -2053,13 +2064,10 @@ mod tests {
         fn callee_save_area_size(&self) -> u32 {
             48
         }
-        fn emit_prologue(&self, buf: &mut CodeBuffer) -> FrameState {
+        fn emit_prologue(&self, buf: &mut CodeBuffer, frame: &mut FrameState) {
             let start = buf.text_offset();
             buf.emit_u8(0xAA);
-            FrameState {
-                func_start: start,
-                ..FrameState::default()
-            }
+            frame.func_start = start;
         }
         fn emit_epilogue_and_ret(&self, buf: &mut CodeBuffer, _frame: &mut FrameState) {
             buf.emit_u8(OP_RET);

@@ -27,7 +27,7 @@ pub enum RegOwner {
     Scratch,
 }
 
-#[derive(Copy, Clone, Debug, Default)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 struct RegState {
     owner: Option<RegOwner>,
     lock_count: u32,
@@ -39,7 +39,7 @@ struct RegState {
 const NO_POS: u8 = u8::MAX;
 
 /// Tracks the state of every register of both banks.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct RegFile {
     state: [RegState; 64],
     allocatable: [Vec<Reg>; 2],
@@ -209,12 +209,23 @@ impl RegFile {
         }
     }
 
-    /// Releases all locks (end of instruction).
-    pub fn unlock_all(&mut self) {
-        for s in self.state.iter_mut() {
-            s.lock_count = 0;
+    /// Releases every lock on the listed registers, however often each was
+    /// locked (end of instruction: the code generator lists each register
+    /// it locks). Duplicates and registers cleared since their lock are
+    /// fine. Costs O(listed), not O(register file).
+    pub fn release_locks(&mut self, regs: &[Reg]) {
+        for &r in regs {
+            self.state[r.compact()].lock_count = 0;
+            if let Some((b, bit)) = self.pos_bit(r) {
+                self.locked[b] &= !bit;
+            }
         }
-        self.locked = [0, 0];
+    }
+
+    /// Whether no register is locked: both lock masks are empty and no
+    /// register has a positive lock count.
+    pub fn no_locks(&self) -> bool {
+        self.locked == [0, 0] && self.state.iter().all(|s| s.lock_count == 0)
     }
 
     /// Restricts a position mask by the `exclude`/`within` register sets
@@ -445,8 +456,25 @@ mod tests {
         f.unlock(gp(0));
         assert!(!f.is_locked(gp(0)));
         f.lock(gp(1));
-        f.unlock_all();
+        f.release_locks(&[gp(1)]);
         assert!(!f.is_locked(gp(1)));
+        assert!(f.no_locks());
+    }
+
+    #[test]
+    fn releasing_the_listed_locks_restores_a_reset_file() {
+        let mut f = file();
+        let fp0 = Reg::new(RegBank::FP, 0);
+        f.lock(gp(0));
+        f.lock(gp(0));
+        f.lock(fp0);
+        assert!(!f.no_locks());
+        // The code generator's list holds one entry per lock call.
+        f.release_locks(&[gp(0), gp(0), fp0]);
+        assert!(f.no_locks());
+        let mut fresh = file();
+        fresh.reset();
+        assert_eq!(f, fresh);
     }
 
     #[test]

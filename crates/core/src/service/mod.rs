@@ -11,7 +11,10 @@
 //!   construction; each owns a [`CompileSession`] and a backend-defined
 //!   warm state ([`ServiceBackend::Worker`], e.g. pre-indexed adapter
 //!   tables and an instruction compiler) that survive from request to
-//!   request, so the steady-state compile loop stays allocation-free.
+//!   request. Once they are warm, compiling a module allocates nothing per
+//!   function or per instruction; what remains is the response's own
+//!   fresh `CodeBuffer` growing, a per-module cost (see
+//!   [`crate::codegen::CompileSession`]).
 //! * **Pipelining.** Requests are submitted without blocking and answered
 //!   through a [`Ticket`]. Small modules are batched whole onto one worker
 //!   (different requests compile concurrently on different workers); large

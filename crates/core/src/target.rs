@@ -44,6 +44,10 @@ impl TargetArch {
 /// reserved (nop-padded) areas here so [`Target::finish_func`] can patch in
 /// the real instructions at the end of the function, exactly as described in
 /// the paper.
+///
+/// The code generator keeps one `FrameState` in its reusable per-function
+/// scratch and [`FrameState::reset`]s it before each prologue, so the two
+/// lists keep their capacity across functions.
 #[derive(Debug, Clone, Default)]
 pub struct FrameState {
     /// Text offset of the first byte of the function.
@@ -56,6 +60,17 @@ pub struct FrameState {
     /// `(offset, length)` of each nop-padded callee-restore area (one per
     /// emitted epilogue).
     pub restore_areas: Vec<(u64, u64)>,
+}
+
+impl FrameState {
+    /// Empties the state for the next function, keeping the lists'
+    /// capacity.
+    pub fn reset(&mut self) {
+        self.func_start = 0;
+        self.frame_size_patches.clear();
+        self.save_area = None;
+        self.restore_areas.clear();
+    }
 }
 
 /// Architecture/platform-specific operations required by the code generator.
@@ -95,8 +110,9 @@ pub trait Target {
     // ---- function skeleton -------------------------------------------------
 
     /// Emits the function prologue with reserved space for callee-saved
-    /// register saves and a patchable frame size.
-    fn emit_prologue(&self, buf: &mut CodeBuffer) -> FrameState;
+    /// register saves and a patchable frame size, recording its patch
+    /// areas in `frame`, which the caller has [`FrameState::reset`].
+    fn emit_prologue(&self, buf: &mut CodeBuffer, frame: &mut FrameState);
 
     /// Emits an epilogue (restore area + frame teardown + return) at the
     /// current position, recording its patch areas in `frame`.
@@ -190,5 +206,20 @@ mod tests {
         assert!(f.frame_size_patches.is_empty());
         assert!(f.save_area.is_none());
         assert!(f.restore_areas.is_empty());
+    }
+
+    #[test]
+    fn frame_state_reset_empties_and_keeps_capacity() {
+        let mut f = FrameState {
+            func_start: 7,
+            frame_size_patches: vec![1, 2],
+            save_area: Some((3, 4)),
+            restore_areas: vec![(5, 6)],
+        };
+        f.reset();
+        assert_eq!(f.func_start, 0);
+        assert!(f.frame_size_patches.is_empty() && f.frame_size_patches.capacity() >= 2);
+        assert!(f.save_area.is_none());
+        assert!(f.restore_areas.is_empty() && f.restore_areas.capacity() >= 1);
     }
 }

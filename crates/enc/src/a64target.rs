@@ -133,8 +133,8 @@ impl Target for A64Target {
         (Self::total_save_slots() as u32) * 8
     }
 
-    fn emit_prologue(&self, buf: &mut CodeBuffer) -> FrameState {
-        let func_start = buf.text_offset();
+    fn emit_prologue(&self, buf: &mut CodeBuffer, frame: &mut FrameState) {
+        frame.func_start = buf.text_offset();
         a64::stp_pre(buf, a64::FP, a64::LR, a64::SP, -16);
         a64::mov_sp(buf, a64::FP, a64::SP);
         // movz x16, #framesize (patched) ; sub sp, sp, x16
@@ -145,12 +145,8 @@ impl Target for A64Target {
         for _ in 0..Self::total_save_slots() {
             a64::nop(buf);
         }
-        FrameState {
-            func_start,
-            frame_size_patches: vec![patch],
-            save_area: Some((save_area, (Self::total_save_slots() * SAVE_INSN_LEN) as u64)),
-            restore_areas: Vec::new(),
-        }
+        frame.frame_size_patches.push(patch);
+        frame.save_area = Some((save_area, (Self::total_save_slots() * SAVE_INSN_LEN) as u64));
     }
 
     fn emit_epilogue_and_ret(&self, buf: &mut CodeBuffer, frame: &mut FrameState) {
@@ -181,10 +177,11 @@ impl Target for A64Target {
             let word = crate::a64::movz_word(true, 16, size as u16, 0);
             buf.patch_text(off, &word.to_le_bytes());
         }
-        let mut tmp = CodeBuffer::new();
-        let mut emit_area = |tmp: &mut CodeBuffer, area: Option<(u64, u64)>, is_save: bool| {
+        // encode the used-register subset at the end of the text and move it
+        // over the nop-filled area in a single write
+        let emit_area = |buf: &mut CodeBuffer, area: Option<(u64, u64)>, is_save: bool| {
             let Some((start, _)) = area else { return };
-            tmp.text_mut().clear();
+            let mark = buf.text_offset();
             for (idx, reg) in GP_SAVE_ORDER
                 .iter()
                 .map(|&i| Reg::new(RegBank::GP, i))
@@ -196,17 +193,17 @@ impl Target for A64Target {
                 }
                 let off = Self::save_slot_off(idx);
                 match (reg.bank(), is_save) {
-                    (RegBank::GP, true) => a64::str(tmp, 8, reg.index(), a64::FP, off),
-                    (RegBank::GP, false) => a64::ldr(tmp, 8, reg.index(), a64::FP, off),
-                    (RegBank::FP, true) => a64::str_fp(tmp, 8, reg.index(), a64::FP, off),
-                    (RegBank::FP, false) => a64::ldr_fp(tmp, 8, reg.index(), a64::FP, off),
+                    (RegBank::GP, true) => a64::str(buf, 8, reg.index(), a64::FP, off),
+                    (RegBank::GP, false) => a64::ldr(buf, 8, reg.index(), a64::FP, off),
+                    (RegBank::FP, true) => a64::str_fp(buf, 8, reg.index(), a64::FP, off),
+                    (RegBank::FP, false) => a64::ldr_fp(buf, 8, reg.index(), a64::FP, off),
                 }
             }
-            buf.patch_text(start, tmp.text());
+            buf.move_tail_to(mark, start);
         };
-        emit_area(&mut tmp, frame.save_area, true);
+        emit_area(buf, frame.save_area, true);
         for &(start, len) in &frame.restore_areas {
-            emit_area(&mut tmp, Some((start, len)), false);
+            emit_area(buf, Some((start, len)), false);
         }
     }
 
@@ -288,7 +285,8 @@ mod tests {
     fn prologue_epilogue_patch() {
         let t = A64Target::new();
         let mut buf = CodeBuffer::new();
-        let mut frame = t.emit_prologue(&mut buf);
+        let mut frame = FrameState::default();
+        t.emit_prologue(&mut buf, &mut frame);
         a64::nop(&mut buf);
         t.emit_epilogue_and_ret(&mut buf, &mut frame);
         let mut used = RegSet::empty();

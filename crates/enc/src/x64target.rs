@@ -96,8 +96,8 @@ impl Target for X64Target {
         (SAVE_ORDER.len() as u32) * 8
     }
 
-    fn emit_prologue(&self, buf: &mut CodeBuffer) -> FrameState {
-        let func_start = buf.text_offset();
+    fn emit_prologue(&self, buf: &mut CodeBuffer, frame: &mut FrameState) {
+        frame.func_start = buf.text_offset();
         x64::push_r(buf, Gp::RBP);
         x64::mov_rr(buf, 8, Gp::RBP, Gp::RSP);
         // sub rsp, imm32 (patched)
@@ -111,12 +111,8 @@ impl Target for X64Target {
         // reserved callee-save area (patched at finish)
         let save_area = buf.text_offset();
         x64::nops(buf, SAVE_ORDER.len() * SAVE_INSN_LEN);
-        FrameState {
-            func_start,
-            frame_size_patches: vec![patch],
-            save_area: Some((save_area, (SAVE_ORDER.len() * SAVE_INSN_LEN) as u64)),
-            restore_areas: Vec::new(),
-        }
+        frame.frame_size_patches.push(patch);
+        frame.save_area = Some((save_area, (SAVE_ORDER.len() * SAVE_INSN_LEN) as u64));
     }
 
     fn emit_epilogue_and_ret(&self, buf: &mut CodeBuffer, frame: &mut FrameState) {
@@ -142,12 +138,11 @@ impl Target for X64Target {
         for &off in &frame.frame_size_patches {
             buf.patch_text(off, &size.to_le_bytes());
         }
-        // saves: encode the used-register subset into one scratch buffer and
-        // patch it over the nop-filled area in a single write
-        let mut tmp = CodeBuffer::new();
-        let mut emit_area = |tmp: &mut CodeBuffer, area: Option<(u64, u64)>, is_save: bool| {
+        // saves: encode the used-register subset at the end of the text and
+        // move it over the nop-filled area in a single write
+        let emit_area = |buf: &mut CodeBuffer, area: Option<(u64, u64)>, is_save: bool| {
             let Some((start, _len)) = area else { return };
-            tmp.text_mut().clear();
+            let mark = buf.text_offset();
             for (idx, &regno) in SAVE_ORDER.iter().enumerate() {
                 let reg = Reg::new(RegBank::GP, regno);
                 if !used_callee_saved.contains(reg) {
@@ -155,16 +150,16 @@ impl Target for X64Target {
                 }
                 let mem = Mem::base_disp(Gp::RBP, Self::save_slot_off(idx));
                 if is_save {
-                    x64::mov_mr(tmp, 8, mem, Gp(regno));
+                    x64::mov_mr(buf, 8, mem, Gp(regno));
                 } else {
-                    x64::mov_rm(tmp, 8, Gp(regno), mem);
+                    x64::mov_rm(buf, 8, Gp(regno), mem);
                 }
             }
-            buf.patch_text(start, tmp.text());
+            buf.move_tail_to(mark, start);
         };
-        emit_area(&mut tmp, frame.save_area, true);
+        emit_area(buf, frame.save_area, true);
         for &(start, len) in &frame.restore_areas {
-            emit_area(&mut tmp, Some((start, len)), false);
+            emit_area(buf, Some((start, len)), false);
         }
     }
 
@@ -275,7 +270,8 @@ mod tests {
     fn prologue_epilogue_patching_roundtrip() {
         let t = X64Target::new();
         let mut buf = CodeBuffer::new();
-        let mut frame = t.emit_prologue(&mut buf);
+        let mut frame = FrameState::default();
+        t.emit_prologue(&mut buf, &mut frame);
         let body_start = buf.text_offset();
         x64::nops(&mut buf, 3);
         t.emit_epilogue_and_ret(&mut buf, &mut frame);

@@ -11,10 +11,10 @@ use tpde_core::regs::RegBank;
 /// The IR already numbers values, blocks and functions densely, so
 /// `switch_func` only has to pre-index the current function into flat slice
 /// tables (instruction lists, operands, results, successors, phis, use
-/// counts). All tables are `clear()`ed — never dropped — between functions,
-/// so after the largest function of a module has been indexed once, the
-/// compile loop performs no adapter allocations (see the `tpde_core::adapter`
-/// module docs).
+/// counts). Creating the adapter reserves every table once for the
+/// module's largest function, and the tables are `clear()`ed — never
+/// dropped — between functions, so `switch_func` performs no allocation
+/// (see the `tpde_core::adapter` module docs).
 pub struct LlvmAdapter<'m> {
     /// The module being compiled.
     pub module: &'m Module,
@@ -27,7 +27,7 @@ pub struct LlvmAdapter<'m> {
 /// module borrow so it can be kept warm across modules.
 ///
 /// One-shot compiles never see this type ([`LlvmAdapter::new`] starts from
-/// empty tables); long-lived drivers — notably the compile-service workers —
+/// fresh tables); long-lived drivers — notably the compile-service workers —
 /// park the scratch between requests ([`LlvmAdapter::into_scratch`]) and
 /// re-attach it to the next module ([`LlvmAdapter::with_scratch`]), so the
 /// per-function indexing in `switch_func` reuses the grown capacities
@@ -69,15 +69,118 @@ pub struct AdapterScratch {
     use_counts: Vec<u32>,
 }
 
+impl AdapterScratch {
+    /// Empties every table, keeping its capacity.
+    fn clear(&mut self) {
+        self.inst_index.clear();
+        self.block_ranges.clear();
+        self.inst_refs.clear();
+        self.operands.clear();
+        self.operand_ranges.clear();
+        self.results.clear();
+        self.result_ranges.clear();
+        self.succs.clear();
+        self.succ_ranges.clear();
+        self.phis.clear();
+        self.phi_ranges.clear();
+        self.phi_inc.clear();
+        self.phi_inc_ranges.clear();
+        self.args.clear();
+        self.stack_vars.clear();
+        self.use_counts.clear();
+    }
+
+    /// Clears the tables and grows each to what the largest function of
+    /// `module` needs, so indexing any of its functions does not allocate.
+    fn reserve_for(&mut self, module: &Module) {
+        let mut max = TableSizes::default();
+        for f in module.funcs.iter().filter(|f| !f.is_decl) {
+            max = max.max(&TableSizes::of(f));
+        }
+        self.clear();
+        self.inst_index.reserve(max.insts);
+        self.inst_refs.reserve(max.insts);
+        self.operand_ranges.reserve(max.insts);
+        self.results.reserve(max.insts);
+        self.result_ranges.reserve(max.insts);
+        self.operands.reserve(max.operands);
+        self.block_ranges.reserve(max.blocks);
+        self.succ_ranges.reserve(max.blocks);
+        self.phi_ranges.reserve(max.blocks);
+        self.succs.reserve(max.succs);
+        self.phis.reserve(max.phis);
+        self.phi_inc.reserve(max.phi_inc);
+        self.phi_inc_ranges.reserve(max.values);
+        self.use_counts.reserve(max.values);
+        self.args.reserve(max.args);
+        self.stack_vars.reserve(max.stack_vars);
+    }
+}
+
+/// Sizes of the flat tables [`LlvmAdapter`] builds for one function.
+#[derive(Clone, Copy, Default)]
+struct TableSizes {
+    insts: usize,
+    operands: usize,
+    blocks: usize,
+    succs: usize,
+    phis: usize,
+    phi_inc: usize,
+    values: usize,
+    args: usize,
+    stack_vars: usize,
+}
+
+impl TableSizes {
+    fn of(f: &crate::ir::Function) -> TableSizes {
+        let mut n = TableSizes {
+            blocks: f.blocks.len(),
+            values: f.value_count(),
+            args: f.params.len(),
+            stack_vars: f.stack_slots.len(),
+            ..TableSizes::default()
+        };
+        for b in &f.blocks {
+            n.insts += b.insts.len();
+            for inst in &b.insts {
+                inst.visit_operands(|_| n.operands += 1);
+            }
+            if let Some(t) = b.insts.last() {
+                t.visit_successors(|_| n.succs += 1);
+            }
+            n.phis += b.phis.len();
+            n.phi_inc += b.phis.iter().map(|p| p.incoming.len()).sum::<usize>();
+        }
+        n
+    }
+
+    fn max(&self, o: &TableSizes) -> TableSizes {
+        TableSizes {
+            insts: self.insts.max(o.insts),
+            operands: self.operands.max(o.operands),
+            blocks: self.blocks.max(o.blocks),
+            succs: self.succs.max(o.succs),
+            phis: self.phis.max(o.phis),
+            phi_inc: self.phi_inc.max(o.phi_inc),
+            values: self.values.max(o.values),
+            args: self.args.max(o.args),
+            stack_vars: self.stack_vars.max(o.stack_vars),
+        }
+    }
+}
+
 impl<'m> LlvmAdapter<'m> {
-    /// Creates an adapter for a module with empty tables.
+    /// Creates an adapter for a module with fresh tables, reserved for the
+    /// module's largest function.
     pub fn new(module: &'m Module) -> LlvmAdapter<'m> {
         LlvmAdapter::with_scratch(module, AdapterScratch::default())
     }
 
     /// Creates an adapter for a module reusing previously grown table
-    /// capacities (see [`AdapterScratch`]).
-    pub fn with_scratch(module: &'m Module, scratch: AdapterScratch) -> LlvmAdapter<'m> {
+    /// capacities (see [`AdapterScratch`]), grown further if the module's
+    /// largest function needs more.
+    pub fn with_scratch(module: &'m Module, mut scratch: AdapterScratch) -> LlvmAdapter<'m> {
+        scratch.reserve_for(module);
         LlvmAdapter {
             module,
             cur: FuncId(0),
@@ -161,22 +264,7 @@ impl<'m> IrAdapter for LlvmAdapter<'m> {
 
     fn switch_func(&mut self, func: FuncRef) {
         self.cur = FuncId(func.0);
-        self.s.inst_index.clear();
-        self.s.block_ranges.clear();
-        self.s.inst_refs.clear();
-        self.s.operands.clear();
-        self.s.operand_ranges.clear();
-        self.s.results.clear();
-        self.s.result_ranges.clear();
-        self.s.succs.clear();
-        self.s.succ_ranges.clear();
-        self.s.phis.clear();
-        self.s.phi_ranges.clear();
-        self.s.phi_inc.clear();
-        self.s.phi_inc_ranges.clear();
-        self.s.args.clear();
-        self.s.stack_vars.clear();
-        self.s.use_counts.clear();
+        self.s.clear();
 
         let f = self.cur_func();
         self.s.use_counts.resize(f.value_count(), 0);
