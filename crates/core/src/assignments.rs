@@ -168,6 +168,9 @@ impl Assignment {
 pub struct AssignmentTable {
     slots: Vec<Option<Assignment>>,
     /// Values that currently have an assignment (for cheap sweeping).
+    /// Invariant: every `Some` slot is listed here (entries for emptied
+    /// slots may linger until [`AssignmentTable::prune_active`]), which is
+    /// what lets [`AssignmentTable::clear`] empty only the listed slots.
     active: Vec<ValueRef>,
 }
 
@@ -232,11 +235,6 @@ impl AssignmentTable {
         &self.active
     }
 
-    /// Removes values from the active list for which `keep` returns `false`.
-    pub fn retain_active(&mut self, mut keep: impl FnMut(ValueRef) -> bool) {
-        self.active.retain(|v| keep(*v));
-    }
-
     /// Drops active-list entries whose assignment has been removed
     /// (allocation-free replacement for collecting a keep-list).
     pub fn prune_active(&mut self) {
@@ -256,6 +254,7 @@ impl AssignmentTable {
     /// past the current length are written: O(assignments), not O(values).
     pub fn reset(&mut self, value_count: usize) {
         self.clear();
+        debug_assert!(self.slots.iter().all(Option::is_none));
         if self.slots.len() < value_count {
             self.slots.resize(value_count, None);
         }

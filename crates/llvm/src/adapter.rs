@@ -11,16 +11,23 @@ use tpde_core::regs::RegBank;
 /// The IR already numbers values, blocks and functions densely, so
 /// `switch_func` only has to pre-index the current function into flat slice
 /// tables (instruction lists, operands, results, successors, phis, use
-/// counts). Creating the adapter reserves every table once for the
-/// module's largest function, and the tables are `clear()`ed — never
-/// dropped — between functions, so `switch_func` performs no allocation
-/// (see the `tpde_core::adapter` module docs).
+/// counts). The tables are `clear()`ed — never dropped — between
+/// functions, so once they have grown to the module's largest function
+/// `switch_func` performs no allocation (see the `tpde_core::adapter` module
+/// docs). An adapter made by [`LlvmAdapter::new`] starts from empty tables
+/// and reserves them for the module's largest function on its first
+/// `switch_func`, so a one-shot compile grows each table once instead of
+/// doubling it function by function.
 pub struct LlvmAdapter<'m> {
     /// The module being compiled.
     pub module: &'m Module,
     cur: FuncId,
     /// The reusable flat-table storage.
     s: AdapterScratch,
+    /// Whether the next `switch_func` first reserves the tables for the
+    /// module's largest function (set only for fresh tables; a parked
+    /// scratch keeps the capacities it has grown).
+    reserve_pending: bool,
 }
 
 /// The flat-table working memory of an [`LlvmAdapter`], detached from the
@@ -90,14 +97,13 @@ impl AdapterScratch {
         self.use_counts.clear();
     }
 
-    /// Clears the tables and grows each to what the largest function of
-    /// `module` needs, so indexing any of its functions does not allocate.
+    /// Grows each (empty) table to what the largest function of `module`
+    /// needs, so indexing any of its functions does not allocate.
     fn reserve_for(&mut self, module: &Module) {
         let mut max = TableSizes::default();
         for f in module.funcs.iter().filter(|f| !f.is_decl) {
             max = max.max(&TableSizes::of(f));
         }
-        self.clear();
         self.inst_index.reserve(max.insts);
         self.inst_refs.reserve(max.insts);
         self.operand_ranges.reserve(max.insts);
@@ -171,20 +177,26 @@ impl TableSizes {
 
 impl<'m> LlvmAdapter<'m> {
     /// Creates an adapter for a module with fresh tables, reserved for the
-    /// module's largest function.
+    /// module's largest function when the first function is indexed (so
+    /// callers that only read module-level data pay nothing).
     pub fn new(module: &'m Module) -> LlvmAdapter<'m> {
-        LlvmAdapter::with_scratch(module, AdapterScratch::default())
+        LlvmAdapter {
+            module,
+            cur: FuncId(0),
+            s: AdapterScratch::default(),
+            reserve_pending: true,
+        }
     }
 
     /// Creates an adapter for a module reusing previously grown table
-    /// capacities (see [`AdapterScratch`]), grown further if the module's
-    /// largest function needs more.
-    pub fn with_scratch(module: &'m Module, mut scratch: AdapterScratch) -> LlvmAdapter<'m> {
-        scratch.reserve_for(module);
+    /// capacities (see [`AdapterScratch`]); the tables grow on demand if a
+    /// function needs more.
+    pub fn with_scratch(module: &'m Module, scratch: AdapterScratch) -> LlvmAdapter<'m> {
         LlvmAdapter {
             module,
             cur: FuncId(0),
             s: scratch,
+            reserve_pending: false,
         }
     }
 
@@ -265,6 +277,9 @@ impl<'m> IrAdapter for LlvmAdapter<'m> {
     fn switch_func(&mut self, func: FuncRef) {
         self.cur = FuncId(func.0);
         self.s.clear();
+        if std::mem::take(&mut self.reserve_pending) {
+            self.s.reserve_for(self.module);
+        }
 
         let f = self.cur_func();
         self.s.use_counts.resize(f.value_count(), 0);

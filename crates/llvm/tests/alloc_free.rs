@@ -10,10 +10,15 @@
 //! geometrically) and the symbol list. That is a per-module constant plus a
 //! logarithm of the output size, so the count must stay under a fixed bound
 //! for every module, however many functions and instructions it has.
+//!
+//! A fresh one-shot `LlvmAdapter` reserves its tables on the first function
+//! it indexes: module-level queries allocate nothing, and indexing the
+//! remaining functions allocates nothing either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use tpde_core::adapter::{FuncRef, IrAdapter};
 use tpde_core::codegen::{CodeGen, CompileOptions, CompileSession};
 use tpde_core::target::Target;
 use tpde_enc::{A64Target, X64Target};
@@ -150,5 +155,35 @@ fn warm_compile_allocations_do_not_grow_with_module_size() {
         "warm module compiles allocate more than {MAX_ALLOCS_PER_MODULE} times \
          ({total_allocs} allocations for {total_insts} insts in total):\n{}",
         over.join("\n")
+    );
+}
+
+#[test]
+fn fresh_adapter_reserves_nothing_until_a_function_is_indexed() {
+    let m = build_workload(&spec_workloads()[0], IrStyle::O0);
+    let defined: Vec<FuncRef> = (0..m.funcs.len() as u32)
+        .map(FuncRef)
+        .filter(|f| !m.funcs[f.idx()].is_decl)
+        .collect();
+    assert!(defined.len() > 1);
+    // Symbol declaration and other module-level queries never index a
+    // function, so they must not pay for the tables.
+    let before = allocs();
+    let mut adapter = LlvmAdapter::new(&m);
+    for &f in &defined {
+        assert!(adapter.func_is_definition(f));
+    }
+    assert_eq!(allocs() - before, 0, "module-level queries allocated");
+    // The first function indexed reserves every table for the largest
+    // function, so indexing the others does not allocate.
+    adapter.switch_func(defined[0]);
+    let before = allocs();
+    for &f in &defined[1..] {
+        adapter.switch_func(f);
+    }
+    assert_eq!(
+        allocs() - before,
+        0,
+        "indexing after the first function allocated"
     );
 }
